@@ -481,6 +481,10 @@ pub fn run_cluster_serve(opts: &ClusterServeOptions) -> Result<String, CliError>
         // A client that connects and never sends must not wedge the
         // front node (the same hang class query-remote's timeout fixes).
         let _ = stream.set_read_timeout(Some(Duration::from_millis(opts.timeout_ms.max(1))));
+        // Each reply is one small write: under Nagle, the reply to a
+        // pipelined request would wait for the client's delayed ACK of
+        // the previous reply. `serve` sets the same flag.
+        let _ = stream.set_nodelay(true);
         let mut reader = std::io::BufReader::new(match stream.try_clone() {
             Ok(clone) => clone,
             Err(_) => continue,

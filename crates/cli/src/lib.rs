@@ -124,13 +124,16 @@ DURABILITY:
   delta/varint records, staged off-thread and coalesced into one write
   + fsync per flush window; fsync per --fsync: always | off | bytes:N,
   default bytes:8388608) and checkpoints shards in coordinated rounds —
-  periodically with --checkpoint-ms, on the CKPT verb, and at graceful
-  drain. Restarting against the same DIR recovers the state exactly:
-  checkpoint + one shared-log replay routed by stream tag (torn tail
-  records are CRC-detected and dropped), Algorithm-5 merge across
-  shards. Stores written by older per-shard-WAL builds migrate onto the
-  shared log on first open. STATS then also reports wal_bytes,
-  last_checkpoint_epoch, fsync_policy, wal_flush_count,
+  whenever the shared log reaches one 64 MiB segment, periodically with
+  --checkpoint-ms, on the CKPT verb, and at graceful drain. A round
+  truncates the log, so a crash restart replays at most about one
+  segment whatever the uptime. Restarting against the same DIR recovers
+  the state exactly: checkpoint + one streamed shared-log replay routed
+  by stream tag (torn tail records are CRC-detected and dropped),
+  Algorithm-5 merge across shards. Stores written by older
+  per-shard-WAL builds migrate onto the shared log on first open. STATS
+  then also reports wal_bytes, last_checkpoint_epoch,
+  checkpoint_rounds, fsync_policy, wal_flush_count,
   wal_group_commit_batches, and avg_frames_per_fsync.
   checkpoint compacts an offline store: recover, write a fresh
   checkpoint, truncate the WAL. recover exports a store's merged state
@@ -2681,6 +2684,7 @@ mod tests {
         // group-commit counters of the shared log.
         assert!(stats[0].contains("wal_bytes="), "{stats:?}");
         assert!(stats[0].contains("last_checkpoint_epoch="), "{stats:?}");
+        assert!(stats[0].contains("checkpoint_rounds="), "{stats:?}");
         assert!(stats[0].contains("fsync_policy=off"), "{stats:?}");
         assert!(stats[0].contains("protocol=text"), "{stats:?}");
         assert!(stats[0].contains("wal_flush_count="), "{stats:?}");
@@ -2701,9 +2705,19 @@ mod tests {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
-        // An explicit CKPT round succeeds and reports an epoch.
+        // An explicit CKPT round succeeds, reports an epoch, and counts
+        // on STATS: the round that answers it starts after this read.
+        let rounds_before = stats_field(
+            &protocol_request(&mut conn, "STATS")[0],
+            "checkpoint_rounds",
+        );
         let ckpt = protocol_request(&mut conn, "CKPT");
         assert!(ckpt[0].starts_with("OK epoch="), "{ckpt:?}");
+        let stats = protocol_request(&mut conn, "STATS");
+        assert!(
+            stats_field(&stats[0], "checkpoint_rounds") > rounds_before,
+            "CKPT did not advance checkpoint_rounds past {rounds_before}: {stats:?}"
+        );
         // Kill mid-ingest.
         let bye = protocol_request(&mut conn, "QUIT");
         assert_eq!(bye[0], "OK bye");

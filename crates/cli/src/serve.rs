@@ -61,9 +61,12 @@
 //! by stream tag, Algorithm-5 merge across shards) before ingestion
 //! begins, `CKPT` triggers a synchronous checkpoint round, and `STATS`
 //! additionally reports `wal_bytes=<b> last_checkpoint_epoch=<e>
-//! fsync_policy=<p> wal_flush_count=<f> wal_group_commit_batches=<g>
-//! avg_frames_per_fsync=<a>`. `QUIT`'s graceful drain ends with a final
-//! checkpoint round, so a clean shutdown restarts without replay.
+//! checkpoint_rounds=<r> fsync_policy=<p> wal_flush_count=<f>
+//! wal_group_commit_batches=<g> avg_frames_per_fsync=<a>`. Besides
+//! `CKPT` and `--checkpoint-ms`, the bank starts a round on its own
+//! whenever the shared log reaches one segment, so a crash restart
+//! replays at most about one segment. `QUIT`'s graceful drain ends with
+//! a final checkpoint, so a clean shutdown restarts without replay.
 //!
 //! The server binds `127.0.0.1` only: this is an operational inspection
 //! port, not an internet-facing service.
@@ -162,7 +165,8 @@ pub struct ServeOptions {
     /// WAL fsync policy when `data_dir` is set.
     pub fsync: FsyncPolicy,
     /// Periodic checkpoint interval in milliseconds when `data_dir` is
-    /// set (0 = checkpoint only on `CKPT` and at drain).
+    /// set (0 = no periodic rounds; rounds still run on `CKPT`, when
+    /// the log reaches one segment, and at drain).
     pub checkpoint_ms: u64,
 }
 
@@ -697,11 +701,12 @@ fn handle_binary_request(op: u8, payload: &[u8], ctx: &ServeCtx, out: &mut Vec<u
                 push_err_frame(out, "server is not durable (start with --data-dir)");
                 return false;
             };
-            // Push buffered wire writes into the bank and force the WAL
-            // to disk first, so the manifest advertises a durable state
-            // at least as fresh as every acknowledged INGEST.
+            // Wait until the shards have applied (so staged) every
+            // acknowledged INGEST, then force the WAL to disk, so the
+            // manifest advertises a durable state at least as fresh as
+            // every acknowledged INGEST.
             if let Some(writer) = ctx.writer.lock().expect("writer mutex poisoned").as_mut() {
-                writer.flush();
+                writer.flush_applied();
             }
             if let Err(e) = ctx.reader.sync() {
                 push_err_frame(out, &format!("wal sync failed: {e}"));
@@ -783,9 +788,10 @@ fn stats_body(ctx: &ServeCtx, protocol: &str) -> String {
     );
     if let Some(fsync) = &ctx.fsync_label {
         body.push_str(&format!(
-            " wal_bytes={} last_checkpoint_epoch={} fsync_policy={fsync}",
+            " wal_bytes={} last_checkpoint_epoch={} checkpoint_rounds={} fsync_policy={fsync}",
             ctx.reader.wal_bytes(),
-            ctx.reader.last_checkpoint_epoch()
+            ctx.reader.last_checkpoint_epoch(),
+            ctx.reader.checkpoint_rounds()
         ));
         if let Some(wal) = ctx.reader.wal_stats() {
             body.push_str(&format!(

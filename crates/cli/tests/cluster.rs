@@ -59,7 +59,11 @@ fn synth_stream(len: usize, salt: u64) -> Vec<(u64, u64)> {
             x = x
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
-            let item = if x.is_multiple_of(4) { x % 8 } else { (x >> 8) % 4096 };
+            let item = if x.is_multiple_of(4) {
+                x % 8
+            } else {
+                (x >> 8) % 4096
+            };
             let weight = (x >> 32) % 100 + 1;
             (item, weight)
         })
@@ -502,6 +506,77 @@ fn cluster_matches_single_node_merged_bank_across_crash_and_promotion() {
     for addr in &final_addrs {
         assert_eq!(text_request(addr, "QUIT")[0], "OK bye");
     }
+}
+
+/// Regression: the front node answers each request with one small
+/// write, so without `TCP_NODELAY` the reply to the second of two
+/// pipelined requests waits behind Nagle for the client's delayed ACK
+/// of the first — about 40 ms per round on Linux, whatever the load.
+#[test]
+fn front_node_answers_pipelined_queries_without_nagle_stalls() {
+    const ROUNDS: usize = 30;
+    let dir = scratch("nodelay");
+    let node_port_file = dir.join("node-port");
+    let _node = ChildGuard(
+        bin()
+            .args(["serve", "-k", "512", "--shards", "4", "--port", "0"])
+            .arg("--port-file")
+            .arg(&node_port_file)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn node"),
+    );
+    let node = NodeSpec {
+        id: 1,
+        addr: wait_addr(&node_port_file),
+    };
+    let topo_path = dir.join("topology.sftopo");
+    std::fs::write(
+        &topo_path,
+        Topology::new(1, VNODES, vec![node]).unwrap().encode(),
+    )
+    .unwrap();
+    // A refresh interval longer than the test: only the first query
+    // fans out, so the rounds time the front node's own reply path.
+    let front_port_file = dir.join("front-port");
+    let _front = ChildGuard(
+        bin()
+            .args(["cluster-serve", "-k", "512", "--port", "0"])
+            .args(["--refresh-ms", "600000"])
+            .arg("--topology")
+            .arg(&topo_path)
+            .arg("--port-file")
+            .arg(&front_port_file)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn front node"),
+    );
+    let conn = TcpStream::connect(wait_addr(&front_port_file)).expect("connect");
+    conn.set_nodelay(true).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let mut writer = conn;
+    let mut rounds = Vec::with_capacity(ROUNDS);
+    let mut line = String::new();
+    for round in 0..ROUNDS {
+        let started = Instant::now();
+        writer.write_all(b"EST 1\nEST 2\n").unwrap();
+        for _ in 0..2 {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            assert!(line.starts_with("OK "), "round {round}: `{line}`");
+        }
+        rounds.push(started.elapsed());
+    }
+    rounds.sort_unstable();
+    let median = rounds[ROUNDS / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "pipelined rounds stall on the delayed-ACK floor: median {median:?}"
+    );
 }
 
 /// Satellite regression: `query-remote` used to block forever against a

@@ -43,7 +43,8 @@
 //!   a write-ahead-logged [`DurableSketch`] in its own subdirectory of a
 //!   store directory: batches are logged before they are applied, a
 //!   checkpointer thread takes coordinated checkpoint rounds (on demand
-//!   via [`SnapshotReader::request_checkpoint`] and/or periodically),
+//!   via [`SnapshotReader::request_checkpoint`], optionally
+//!   periodically, and whenever the shared log reaches one segment),
 //!   and reopening the same directory recovers each shard as
 //!   `checkpoint ⊕ replayed WAL tail` — then merges the recovered
 //!   shards per Algorithm 5 into the initial served snapshot. See
@@ -94,6 +95,7 @@ use crate::error::Error;
 use crate::item_codec::ItemCodec;
 use crate::persist::recover::open_bank;
 use crate::persist::store::{read_store_meta, write_store_meta, StoreMeta};
+use crate::persist::wal::SEGMENT_HEADER_LEN;
 use crate::persist::{
     DurabilityOptions, DurableSketch, EngineConfig, GroupCommitWal, GroupWalStats, PersistError,
     RecoveryReport,
@@ -122,6 +124,9 @@ enum Msg<K: SketchKey> {
     /// everything received so far and reply with the new epoch. FIFO
     /// ordering makes the checkpoint cover every batch enqueued earlier.
     Checkpoint(SyncSender<u64>),
+    /// Apply barrier: reply once every batch enqueued earlier has been
+    /// applied (and, in a durable bank, staged on the shared log).
+    Barrier(SyncSender<()>),
 }
 
 /// An immutable point-in-time merged view of a [`ConcurrentSketch`],
@@ -236,6 +241,8 @@ struct Shared<K: SketchKey> {
     /// Newest coordinated checkpoint round every shard has completed
     /// (written only by the checkpointer's round minimum).
     last_checkpoint_epoch: AtomicU64,
+    /// Checkpoint rounds the checkpointer has completed, by any trigger.
+    checkpoint_rounds: AtomicU64,
     /// Reply channels of pending on-demand checkpoint requests,
     /// serviced by the checkpointer thread.
     ckpt_requests: Mutex<Vec<SyncSender<u64>>>,
@@ -257,6 +264,7 @@ impl<K: SketchKey> Shared<K> {
             publish_lock: Mutex::new(()),
             wal,
             last_checkpoint_epoch: AtomicU64::new(last_ckpt),
+            checkpoint_rounds: AtomicU64::new(0),
             ckpt_requests: Mutex::new(Vec::new()),
         })
     }
@@ -408,6 +416,28 @@ impl<K: SketchKey> ConcurrentWriter<K> {
         }
     }
 
+    /// Flushes like [`Self::flush`], then waits until every shard worker
+    /// has applied every batch enqueued before this call, by any
+    /// writer. In a durable bank an applied batch is staged on the
+    /// shared log, so a following [`SnapshotReader::sync`] puts all of
+    /// them on disk.
+    pub fn flush_applied(&mut self) {
+        self.flush();
+        let replies: Vec<Receiver<()>> = self
+            .senders
+            .iter()
+            .filter_map(|sender| {
+                let (tx, rx) = mpsc::sync_channel(1);
+                sanitize::check_send(sanitize::rank::SHARD_CHANNEL, "shard channel");
+                sender.send(Msg::Barrier(tx)).ok().map(|()| rx)
+            })
+            .collect();
+        for reply in replies {
+            // A worker gone mid-barrier (drain) has applied all it will.
+            let _ = reply.recv();
+        }
+    }
+
     fn flush_shard(&mut self, s: usize) {
         let batch = std::mem::take(&mut self.bufs[s]);
         let weight: u64 = batch.iter().map(|&(_, w)| w).sum();
@@ -505,6 +535,14 @@ impl<K: SketchKey> SnapshotReader<K> {
     /// be one round newer than this gauge.
     pub fn last_checkpoint_epoch(&self) -> u64 {
         self.shared.last_checkpoint_epoch.load(Ordering::SeqCst)
+    }
+
+    /// Coordinated checkpoint rounds completed since the bank opened, by
+    /// any trigger: on-demand requests, the periodic interval, and the
+    /// shared log reaching one segment (0 for volatile banks). The
+    /// drain checkpoint is not counted.
+    pub fn checkpoint_rounds(&self) -> u64 {
+        self.shared.checkpoint_rounds.load(Ordering::SeqCst)
     }
 
     /// Requests a coordinated checkpoint round across every shard and
@@ -729,7 +767,10 @@ impl<K: SketchKey + Send + Sync + 'static> ConcurrentSketchBuilder<K> {
     /// shards is installed as the initial snapshot), and a
     /// checkpointer thread services on-demand checkpoint requests
     /// ([`SnapshotReader::request_checkpoint`]) plus the optional
-    /// periodic `checkpoint_interval`.
+    /// periodic `checkpoint_interval`, and starts a round on its own
+    /// whenever the shared log reaches one segment
+    /// ([`DurabilityOptions::segment_bytes`]) — so a restart replays at
+    /// most about one segment, whatever the uptime or ingest rate.
     ///
     /// Returns the sketch and the per-shard recovery reports.
     ///
@@ -811,11 +852,25 @@ impl<K: SketchKey + Send + Sync + 'static> ConcurrentSketchBuilder<K> {
     }
 }
 
-/// The checkpointer thread: services on-demand checkpoint requests and
-/// the optional periodic interval with coordinated rounds — one
+/// True once the bank's shared log holds a segment's worth of bytes —
+/// the size trigger of a checkpoint round. The floor keeps a log just
+/// truncated to its bare segment header from re-triggering when
+/// segments are configured smaller than that header.
+fn log_reached_segment<K: SketchKey>(shared: &Shared<K>) -> bool {
+    shared
+        .wal
+        .as_ref()
+        .is_some_and(|wal| wal.total_bytes() >= wal.segment_bytes().max(SEGMENT_HEADER_LEN + 1))
+}
+
+/// The checkpointer thread: runs coordinated rounds — one
 /// [`Msg::Checkpoint`] probe per shard, replies collected in shard
-/// order. Reports the *minimum* epoch across shards (the round every
-/// shard has completed).
+/// order — on three triggers: on-demand requests, the optional periodic
+/// interval, and the shared log reaching one segment. A round rotates
+/// the log and truncates everything before the rotation, so the size
+/// trigger bounds what a restart replays to about one segment whatever
+/// the uptime or ingest rate. Reports the *minimum* epoch across shards
+/// (the round every shard has completed).
 fn checkpointer_loop<K: SketchKey>(
     shared: &Shared<K>,
     senders: &[SyncSender<Msg<K>>],
@@ -830,7 +885,7 @@ fn checkpointer_loop<K: SketchKey>(
             queue.drain(..).collect()
         };
         let due = interval.is_some_and(|iv| last.elapsed() >= iv);
-        if pending.is_empty() && !due {
+        if pending.is_empty() && !due && !log_reached_segment(shared) {
             std::thread::sleep(PUBLISHER_TICK);
             continue;
         }
@@ -861,6 +916,7 @@ fn checkpointer_loop<K: SketchKey>(
             break;
         }
         shared.last_checkpoint_epoch.store(round, Ordering::SeqCst);
+        shared.checkpoint_rounds.fetch_add(1, Ordering::SeqCst);
         for requester in pending {
             let _ = requester.send(round);
         }
@@ -962,6 +1018,9 @@ fn shard_worker<K: SketchKey, B: ShardBackend<K>>(
             }
             Msg::Checkpoint(reply) => {
                 let _ = reply.send(backend.checkpoint());
+            }
+            Msg::Barrier(reply) => {
+                let _ = reply.send(());
             }
         }
     }
@@ -1354,6 +1413,31 @@ mod tests {
         let after = sketch.reader().wal_bytes();
         assert!(after < before, "WAL not truncated: {before} -> {after}");
         sketch.drain();
+    }
+
+    #[test]
+    fn flush_applied_then_sync_puts_every_written_batch_on_disk() {
+        let dir = tmp_store("flush-applied");
+        let (sketch, _) = ConcurrentSketch::<u64>::builder(3, 64)
+            .build_durable(&dir, durability(), None)
+            .unwrap();
+        let stream = test_stream(30_000);
+        let mut writer = sketch.writer();
+        writer.write_batch(&stream);
+        writer.flush_applied();
+        sketch.reader().sync().unwrap();
+        let start = crate::persist::WalPosition {
+            segment: 1,
+            offset: SEGMENT_HEADER_LEN,
+        };
+        let mut on_disk = 0u64;
+        crate::persist::wal::scan_from::<u64>(&dir, start, |record| {
+            on_disk += record.batch.iter().map(|&(_, w)| w).sum::<u64>();
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(on_disk, stream.iter().map(|&(_, w)| w).sum::<u64>());
+        drop(writer);
     }
 
     #[test]

@@ -108,6 +108,8 @@ struct Inner {
     done: Condvar,
     sink: Mutex<WalWriter>,
     fsync: FsyncPolicy,
+    /// The sink's rotation size, readable without a lock.
+    segment_bytes: u64,
     /// Mirror of the sink's `total_bytes`, readable without a lock.
     live_bytes: AtomicU64,
     flush_count: AtomicU64,
@@ -165,6 +167,7 @@ impl GroupCommitWal {
             work: Condvar::new(),
             done: Condvar::new(),
             live_bytes: AtomicU64::new(writer.total_bytes()),
+            segment_bytes: writer.segment_bytes(),
             sink: Mutex::new(writer),
             fsync,
             flush_count: AtomicU64::new(0),
@@ -309,6 +312,12 @@ impl GroupCommitWal {
     /// updated per flush).
     pub fn total_bytes(&self) -> u64 {
         self.inner.live_bytes.load(Ordering::Relaxed)
+    }
+
+    /// The segment size at which the log rotates to a new file
+    /// ([`DurabilityOptions::segment_bytes`](super::DurabilityOptions)).
+    pub(crate) fn segment_bytes(&self) -> u64 {
+        self.inner.segment_bytes
     }
 
     /// Group-commit counters since this log was opened.

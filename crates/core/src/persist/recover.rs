@@ -11,10 +11,13 @@
 //!    misdecoded);
 //! 4. truncate the torn bytes and reopen the log for appending.
 //!
-//! Replay is coalesced: records accumulate into `REPLAY_CHUNK`-pair
-//! batches before each engine call, so recovery runs through the same
-//! batched fast path as live ingest (batching is state-identical to
-//! sequential updates by the engine's contract).
+//! Replay streams and is coalesced: [`wal::scan_from`] decodes one
+//! segment at a time and hands each record straight to the engine's
+//! replayer, so recovery memory is bounded by a segment rather than by
+//! the tail; records accumulate into `REPLAY_CHUNK`-pair batches before
+//! each engine call, so recovery runs through the same batched fast
+//! path as live ingest (batching is state-identical to sequential
+//! updates by the engine's contract).
 //!
 //! Every degenerate layout recovers deliberately:
 //!
@@ -207,23 +210,23 @@ fn load_state<K: SketchKey + ItemCodec>(
         ));
     }
     let (engine, ckpt_epoch) = load_checkpoint_state::<K>(dir, &manifest)?;
-    let outcome = wal::read_from::<K>(dir, manifest.wal_start)?;
     let mut replayer = Replayer::new(engine);
-    for record in &outcome.records {
+    let tail = wal::scan_from::<K>(dir, manifest.wal_start, |record| {
         replayer.push(&record.batch);
-    }
+        Ok(())
+    })?;
     let (engine, records, updates) = replayer.finish();
     Ok(LoadedState {
         engine,
         config: manifest.config,
         epoch: manifest.epoch,
-        wal_end: outcome.end,
+        wal_end: tail.end,
         report: RecoveryReport {
             source: RecoverySource::classify(manifest.checkpoint.is_some(), records > 0),
             checkpoint_epoch: ckpt_epoch,
             records_replayed: records,
             updates_replayed: updates,
-            dropped_tail_bytes: outcome.dropped_tail_bytes,
+            dropped_tail_bytes: tail.dropped_tail_bytes,
         },
     })
 }
@@ -407,7 +410,6 @@ fn replay_shared<K: SketchKey + ItemCodec>(
         .map(|(_, m)| m.wal_start)
         .min()
         .ok_or_else(|| PersistError::corrupt(dir, "replay_shared invoked with no shards"))?;
-    let outcome = wal::read_from::<K>(dir, start)?;
     let mut slots: Vec<Option<(Manifest, u64, Replayer<K>)>> =
         (0..num_shards).map(|_| None).collect();
     for (s, manifest) in shards {
@@ -415,7 +417,7 @@ fn replay_shared<K: SketchKey + ItemCodec>(
         let (engine, ckpt_epoch) = load_checkpoint_state::<K>(&sdir, &manifest)?;
         slots[s] = Some((manifest, ckpt_epoch, Replayer::new(engine)));
     }
-    for record in &outcome.records {
+    let tail = wal::scan_from::<K>(dir, start, |record| {
         let slot = usize::try_from(record.stream)
             .ok()
             .and_then(|s| slots.get_mut(s))
@@ -443,7 +445,8 @@ fn replay_shared<K: SketchKey + ItemCodec>(
         if record.at >= manifest.wal_start {
             replayer.push(&record.batch);
         }
-    }
+        Ok(())
+    })?;
     let mut done = Vec::new();
     for (s, slot) in slots.into_iter().enumerate() {
         let Some((manifest, ckpt_epoch, replayer)) = slot else {
@@ -459,11 +462,11 @@ fn replay_shared<K: SketchKey + ItemCodec>(
                 checkpoint_epoch: ckpt_epoch,
                 records_replayed: records,
                 updates_replayed: updates,
-                dropped_tail_bytes: outcome.dropped_tail_bytes,
+                dropped_tail_bytes: tail.dropped_tail_bytes,
             },
         ));
     }
-    Ok((done, outcome.end))
+    Ok((done, tail.end))
 }
 
 /// Deletes shard-local WAL segments (legacy layout or migration debris).
@@ -630,20 +633,17 @@ pub(crate) fn open_bank<K: SketchKey + ItemCodec>(
                 // Unreferenced shared segments are debris from a crashed
                 // migration — refuse if they hold records (that would
                 // mean a manifest was lost some other way).
-                let outcome = wal::read_from::<K>(
-                    dir,
-                    WalPosition {
-                        segment: oldest,
-                        offset: SEGMENT_HEADER_LEN,
-                    },
-                )?;
-                if !outcome.records.is_empty() {
-                    return Err(PersistError::corrupt(
+                let start = WalPosition {
+                    segment: oldest,
+                    offset: SEGMENT_HEADER_LEN,
+                };
+                let tail = wal::scan_from::<K>(dir, start, |_| {
+                    Err(PersistError::corrupt(
                         dir,
                         "shared WAL holds records but no shard manifest references it",
-                    ));
-                }
-                Some(outcome.end)
+                    ))
+                })?;
+                Some(tail.end)
             }
             None => None,
         }

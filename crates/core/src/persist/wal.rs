@@ -124,7 +124,17 @@ pub struct WalRecord<K> {
     pub at: WalPosition,
 }
 
-/// Everything a log scan recovers.
+/// Where a log scan stopped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WalScanEnd {
+    /// Position immediately after the last valid record — where a
+    /// resumed writer continues (after truncating any torn tail).
+    pub end: WalPosition,
+    /// Bytes of torn/corrupt tail dropped from the last segment.
+    pub dropped_tail_bytes: u64,
+}
+
+/// Everything a collecting log scan ([`read_from`]) recovers.
 #[derive(Debug)]
 pub struct WalReadOutcome<K> {
     /// Valid records from the start position to the end of the log.
@@ -216,7 +226,7 @@ impl WalWriter {
     }
 
     /// Re-opens an existing log for appending at `pos` — the end
-    /// position a [`read_from`] scan returned. The target segment must be
+    /// position a [`scan_from`] scan returned. The target segment must be
     /// the newest one on disk; any torn tail past `pos.offset` is
     /// truncated away first.
     pub fn open_at(
@@ -228,7 +238,7 @@ impl WalWriter {
         let mut segments = list_segments(dir)?;
         // Segments newer than the append position can only be the
         // husk of a crash during rotation: a directory entry whose
-        // 8-byte header never became durable (`read_from` ends the
+        // 8-byte header never became durable (`scan_from` ends the
         // replay before such a segment). Remove the husks; anything
         // with a *valid* header past the append position would mean
         // the caller is about to orphan real data — refuse.
@@ -331,6 +341,11 @@ impl WalWriter {
             segment: self.seq,
             offset: self.offset,
         }
+    }
+
+    /// The segment size at which this log rotates to a new file.
+    pub(crate) fn segment_bytes(&self) -> u64 {
+        self.segment_bytes
     }
 
     /// Total on-disk bytes across every retained segment.
@@ -514,16 +529,13 @@ pub fn audit_chain<K: ItemCodec>(dir: &Path) -> Result<(), PersistError> {
             ));
         }
     }
-    let outcome = read_from::<K>(
-        dir,
-        WalPosition {
-            segment: first,
-            offset: SEGMENT_HEADER_LEN,
-        },
-    )?;
     let mut last_epoch: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
     let mut last_at: Option<WalPosition> = None;
-    for rec in &outcome.records {
+    let start = WalPosition {
+        segment: first,
+        offset: SEGMENT_HEADER_LEN,
+    };
+    scan_from::<K>(dir, start, |rec| {
         if last_at.is_some_and(|prev| rec.at <= prev) {
             return Err(PersistError::corrupt(
                 dir,
@@ -543,21 +555,50 @@ pub fn audit_chain<K: ItemCodec>(dir: &Path) -> Result<(), PersistError> {
             }
         }
         last_epoch.insert(rec.stream, rec.epoch);
-    }
-    Ok(())
+        Ok(())
+    })
+    .map(|_| ())
 }
 
-/// Scans the log from `start` to its physical end, decoding every valid
-/// frame. See the module docs for the torn-write contract; a bad frame
-/// anywhere except the last segment's tail is an error.
+/// Collects every valid record from `start` to the end of the log — a
+/// thin wrapper over [`scan_from`] for tests that want every record in
+/// hand. Recovery streams through [`scan_from`] instead, so its memory
+/// is bounded by one segment rather than by the tail.
 ///
 /// # Errors
-/// Returns [`PersistError`] for missing segments between `start` and the
-/// newest one, unreadable files, or mid-log corruption.
-pub fn read_from<K: ItemCodec>(
+/// As [`scan_from`].
+pub fn read_from<K: ItemCodec + Clone>(
     dir: &Path,
     start: WalPosition,
 ) -> Result<WalReadOutcome<K>, PersistError> {
+    let mut records = Vec::new();
+    let tail = scan_from::<K>(dir, start, |record| {
+        records.push(record.clone());
+        Ok(())
+    })?;
+    Ok(WalReadOutcome {
+        records,
+        end: tail.end,
+        dropped_tail_bytes: tail.dropped_tail_bytes,
+    })
+}
+
+/// Scans the log from `start` to its physical end, handing each valid
+/// record to `visit` in append order. Frames decode out of one reused
+/// segment buffer into one reused record, so the scan holds at most one
+/// segment and one batch in memory however long the log is. See the
+/// module docs for the torn-write contract; a bad frame anywhere except
+/// the last segment's tail is an error.
+///
+/// # Errors
+/// Returns [`PersistError`] for missing segments between `start` and the
+/// newest one, unreadable files, or mid-log corruption, and passes on
+/// the first error `visit` returns (which ends the scan).
+pub fn scan_from<K: ItemCodec>(
+    dir: &Path,
+    start: WalPosition,
+    mut visit: impl FnMut(&WalRecord<K>) -> Result<(), PersistError>,
+) -> Result<WalScanEnd, PersistError> {
     let segments = list_segments(dir)?;
     let relevant: Vec<&(u64, PathBuf)> = segments
         .iter()
@@ -580,13 +621,18 @@ pub fn read_from<K: ItemCodec>(
             ));
         }
     }
-    let mut records = Vec::new();
     let mut end = start;
-    let mut dropped = 0u64;
+    let mut bytes = Vec::new();
+    let mut record = WalRecord {
+        stream: 0,
+        epoch: 0,
+        batch: Vec::new(),
+        at: start,
+    };
     let last_index = relevant.len() - 1;
     for (i, &&(seq, ref path)) in relevant.iter().enumerate() {
         let is_last = i == last_index;
-        let mut bytes = Vec::new();
+        bytes.clear();
         File::open(path)
             .and_then(|mut f| f.read_to_end(&mut bytes))
             .map_err(|e| PersistError::io(path, e))?;
@@ -601,8 +647,7 @@ pub fn read_from<K: ItemCodec>(
             // it before any manifest can reference it — so a bad header
             // there is real damage.
             if is_last && seq != start.segment {
-                return Ok(WalReadOutcome {
-                    records,
+                return Ok(WalScanEnd {
                     end,
                     dropped_tail_bytes: bytes.len() as u64,
                 });
@@ -626,24 +671,26 @@ pub fn read_from<K: ItemCodec>(
             offset: cursor as u64,
         };
         loop {
-            let at = WalPosition {
+            record.at = WalPosition {
                 segment: seq,
                 offset: cursor as u64,
             };
-            match decode_frame::<K>(version, bytes.get(cursor..).unwrap_or_default(), at) {
-                FrameOutcome::Record(record, consumed) => {
-                    records.push(record);
+            match decode_frame(
+                version,
+                bytes.get(cursor..).unwrap_or_default(),
+                &mut record,
+            ) {
+                FrameOutcome::Record(consumed) => {
+                    visit(&record)?;
                     cursor = cursor.saturating_add(consumed);
                     end.offset = cursor as u64;
                 }
                 FrameOutcome::End => break,
                 FrameOutcome::Torn(detail) => {
                     if is_last {
-                        dropped = (bytes.len() - cursor) as u64;
-                        return Ok(WalReadOutcome {
-                            records,
+                        return Ok(WalScanEnd {
                             end,
-                            dropped_tail_bytes: dropped,
+                            dropped_tail_bytes: (bytes.len() - cursor) as u64,
                         });
                     }
                     return Err(PersistError::corrupt(
@@ -654,16 +701,16 @@ pub fn read_from<K: ItemCodec>(
             }
         }
     }
-    Ok(WalReadOutcome {
-        records,
+    Ok(WalScanEnd {
         end,
-        dropped_tail_bytes: dropped,
+        dropped_tail_bytes: 0,
     })
 }
 
-enum FrameOutcome<K> {
-    /// A valid frame: the record and the bytes it consumed.
-    Record(WalRecord<K>, usize),
+enum FrameOutcome {
+    /// A valid frame, decoded into the caller's record: the bytes it
+    /// consumed.
+    Record(usize),
     /// Clean end of segment (zero bytes remain).
     End,
     /// A short, corrupt, or undecodable frame.
@@ -678,9 +725,15 @@ fn frame_header(bytes: &[u8]) -> Option<(u32, u32)> {
     Some((u32::from_le_bytes(len), u32::from_le_bytes(crc)))
 }
 
-/// Decodes the frame at the front of `bytes`, interpreting the payload
-/// per the segment's `version`.
-fn decode_frame<K: ItemCodec>(version: u8, bytes: &[u8], at: WalPosition) -> FrameOutcome<K> {
+/// Decodes the frame at the front of `bytes` into `record` (reusing its
+/// batch buffer), interpreting the payload per the segment's `version`.
+/// `record.at` is the caller's; the other fields are meaningful only
+/// when the outcome is [`FrameOutcome::Record`].
+fn decode_frame<K: ItemCodec>(
+    version: u8,
+    bytes: &[u8],
+    record: &mut WalRecord<K>,
+) -> FrameOutcome {
     if bytes.is_empty() {
         return FrameOutcome::End;
     }
@@ -709,7 +762,7 @@ fn decode_frame<K: ItemCodec>(version: u8, bytes: &[u8], at: WalPosition) -> Fra
     // Past the CRC the payload is trusted framing-wise, but the decode
     // stays total: a CRC collision on garbage must fail cleanly.
     let mut view = payload;
-    let mut decode = || -> Result<WalRecord<K>, crate::error::Error> {
+    let mut decode = || -> Result<(), crate::error::Error> {
         let (stream, epoch, count) = if version == SEG_VERSION_V1 {
             (
                 0u32,
@@ -726,29 +779,27 @@ fn decode_frame<K: ItemCodec>(version: u8, bytes: &[u8], at: WalPosition) -> Fra
                 .map_err(|_| crate::error::Error::Corrupt("batch count overflows usize".into()))?;
             (stream, epoch, count)
         };
-        let mut batch = Vec::with_capacity(count.min(1 << 16));
+        record.stream = stream;
+        record.epoch = epoch;
+        record.batch.clear();
+        record.batch.reserve(count.min(1 << 16));
         for _ in 0..count {
             let (item, weight) = if version == SEG_VERSION_V1 {
                 (K::decode(&mut view)?, u64::decode(&mut view)?)
             } else {
                 (K::decode_compact(&mut view)?, read_uvarint(&mut view)?)
             };
-            batch.push((item, weight));
+            record.batch.push((item, weight));
         }
         if !view.is_empty() {
             return Err(crate::error::Error::Corrupt(
                 "trailing bytes in WAL payload".into(),
             ));
         }
-        Ok(WalRecord {
-            stream,
-            epoch,
-            batch,
-            at,
-        })
+        Ok(())
     };
     match decode() {
-        Ok(record) => FrameOutcome::Record(record, total),
+        Ok(()) => FrameOutcome::Record(total),
         Err(e) => FrameOutcome::Torn(format!("undecodable payload: {e}")),
     }
 }
@@ -810,6 +861,51 @@ mod tests {
         let out = read_from::<u64>(&dir, start()).unwrap();
         assert_eq!(out.records.len(), 5);
         assert_eq!(out.records[4].batch, vec![(4, 5)]);
+    }
+
+    #[test]
+    fn scan_reuses_buffers_across_frames_and_segments_and_stops_on_visitor_error() {
+        let dir = tmp_dir("scan");
+        // Batches grow then shrink, across several small segments, so a
+        // stale pair left in the reused record or segment buffer shows.
+        let batches: Vec<Vec<(u64, u64)>> = [3u64, 1, 4, 1, 5, 9, 2]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| (0..len).map(|j| (i as u64 * 10 + j, j + 1)).collect())
+            .collect();
+        let mut w = WalWriter::create(&dir, FsyncPolicy::Off, 48).unwrap();
+        for (epoch, batch) in batches.iter().enumerate() {
+            w.append(epoch as u64, batch).unwrap();
+        }
+        let end = w.position();
+        drop(w);
+        assert!(list_segments(&dir).unwrap().len() > 2);
+        let mut seen = Vec::new();
+        let tail = scan_from::<u64>(&dir, start(), |r| {
+            seen.push((r.epoch, r.batch.clone()));
+            Ok(())
+        })
+        .unwrap();
+        let expected: Vec<(u64, Vec<(u64, u64)>)> = batches
+            .into_iter()
+            .enumerate()
+            .map(|(e, b)| (e as u64, b))
+            .collect();
+        assert_eq!(seen, expected);
+        assert_eq!(tail.end, end);
+        assert_eq!(tail.dropped_tail_bytes, 0);
+        // A visitor error ends the scan and is passed on unchanged.
+        let mut visits = 0;
+        let err = scan_from::<u64>(&dir, start(), |_| {
+            visits += 1;
+            if visits == 3 {
+                return Err(PersistError::corrupt(&dir, "visitor refused"));
+            }
+            Ok(())
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("visitor refused"), "{err}");
+        assert_eq!(visits, 3);
     }
 
     #[test]

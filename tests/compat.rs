@@ -124,6 +124,14 @@ fn generate_pr5_bank_fixture() {
     sketch.checkpoint_now().expect("checkpoint round");
     sketch.ingest_slice_parallel(&stream[half..], 1);
     sketch.publish_now(); // FIFO barrier: everything enqueued is logged
+    sketch.reader().sync().unwrap();
+    // The copy is atomic only while no checkpoint round can start, and
+    // a bank starts one on its own once its log reaches a segment: a
+    // stream that outgrows one must fail here, not tear the fixture.
+    assert!(
+        sketch.reader().wal_bytes() < fixture_opts().segment_bytes,
+        "log reached a segment: a size-triggered round could race the copy"
+    );
     copy_dir(&live, &fixture);
     drop(sketch);
     let _ = std::fs::remove_dir_all(&live);

@@ -10,13 +10,15 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use streamfreq::persist::recover::{recover_engine_readonly, RecoverySource};
 use streamfreq::persist::store::read_manifest;
 use streamfreq::persist::wal;
 use streamfreq::{
-    ConcurrentSketch, DurabilityOptions, DurableSketch, EngineConfig, FsyncPolicy, SketchEngine,
+    ConcurrentSketch, DurabilityOptions, DurableSketch, EngineConfig, FsyncPolicy, ShardedSketch,
+    SketchEngine,
 };
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -192,6 +194,17 @@ proptest! {
         // log. Sync so the staged frames reach the crash image.
         sketch.publish_now();
         sketch.reader().sync().unwrap();
+        // The copy below is atomic only if no checkpoint round runs
+        // during it. Ingest is over, and the bank starts a round on its
+        // own only once the log reaches one segment, so a log below one
+        // segment here means none can start. A longer stream or smaller
+        // segments must fail here, not flake in the copy.
+        let retained = sketch.reader().wal_bytes();
+        prop_assert!(
+            retained < opts().segment_bytes,
+            "log of {} bytes reached a segment: a size-triggered round could race the copy",
+            retained
+        );
 
         // Crash image: copy the store while the bank is still live, then
         // tear the newest segment of the bank-level shared log. A single
@@ -259,6 +272,96 @@ proptest! {
         let _ = std::fs::remove_dir_all(&live_dir);
         let _ = std::fs::remove_dir_all(&crash_dir);
     }
+}
+
+/// The size trigger end to end: a durable bank whose shared log keeps
+/// reaching its (small) segment size checkpoints on its own, so the log
+/// never holds much more than a segment, and a crash restart replays at
+/// most one segment's worth of updates yet recovers every shard
+/// exactly.
+#[test]
+fn size_triggered_checkpoints_bound_the_replay_tail() {
+    const SHARDS: usize = 3;
+    const K: usize = 64;
+    const SEED: u64 = 5;
+    // Items in [128, 16384) and weights in [1, 128) are two and one
+    // varint bytes: every update costs exactly three log bytes.
+    const BYTES_PER_UPDATE: u64 = 3;
+    let segment = opts().segment_bytes;
+    let updates = 6 * segment / BYTES_PER_UPDATE;
+    let stream: Vec<(u64, u64)> = (0..updates)
+        .map(|i| (128 + (i * 2_654_435_761) % 16_000, i % 127 + 1))
+        .collect();
+    let chunk = (segment / 4 / BYTES_PER_UPDATE) as usize;
+    let live_dir = scratch("size-trigger-live");
+    let crash_dir = scratch("size-trigger-crash");
+
+    let (sketch, _) = ConcurrentSketch::<u64>::builder(SHARDS, K)
+        .seed(SEED)
+        .build_durable(&live_dir, opts(), None)
+        .unwrap();
+    let reader = sketch.reader();
+    let mut peak = 0;
+    for part in stream.chunks(chunk) {
+        sketch.ingest_slice_parallel(part, 1);
+        // Applied (FIFO probe barrier) and on disk: the gauge now counts
+        // every byte this part added.
+        sketch.publish_now();
+        reader.sync().unwrap();
+        peak = peak.max(reader.wal_bytes());
+        // Only the bank's own size trigger can shrink the log.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while reader.wal_bytes() >= segment {
+            assert!(
+                Instant::now() < deadline,
+                "log stuck at {} bytes with {segment}-byte segments: no size-triggered round",
+                reader.wal_bytes()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    assert!(reader.last_checkpoint_epoch() > 0);
+    assert!(
+        reader.checkpoint_rounds() >= 4,
+        "{}",
+        reader.checkpoint_rounds()
+    );
+    assert!(
+        peak < 2 * segment,
+        "log peaked at {peak} bytes with {segment}-byte segments"
+    );
+
+    // Crash image: ingest is over and the log is below one segment, so
+    // no round can start during the copy.
+    copy_dir(&live_dir, &crash_dir);
+    drop(sketch);
+    let (mut recovered, reports) = ConcurrentSketch::<u64>::builder(SHARDS, K)
+        .seed(SEED)
+        .build_durable(&crash_dir, opts(), None)
+        .unwrap();
+    for report in &reports {
+        assert!(report.checkpoint_epoch > 0, "{report:?}");
+    }
+    let replayed: u64 = reports.iter().map(|r| r.updates_replayed).sum();
+    assert!(
+        replayed * BYTES_PER_UPDATE <= segment,
+        "replayed {replayed} updates, more than one {segment}-byte segment's worth"
+    );
+    let mut reference: ShardedSketch<u64> = ShardedSketch::builder(SHARDS, K)
+        .seed(SEED)
+        .build()
+        .unwrap();
+    reference.update_batch(&stream);
+    let shards = recovered.drain();
+    for (s, (shard, expected)) in shards.iter().zip(reference.shards()).enumerate() {
+        assert_eq!(
+            shard.state_fingerprint(),
+            expected.state_fingerprint(),
+            "shard {s} diverged from its uninterrupted reference"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&live_dir);
+    let _ = std::fs::remove_dir_all(&crash_dir);
 }
 
 /// The serve-equivalent sealed contract at the library level: a durable
