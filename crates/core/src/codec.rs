@@ -34,10 +34,17 @@
 //! | 108    | 16·n | `num_active` × (item `u64`, count `u64`) |
 //!
 //! Deserialization reconstructs the counter table by re-inserting the
-//! pairs; because the item hash is deterministic ([`crate::hashing`]), the
-//! rebuilt table is operationally identical, and because the sampler state
-//! is carried along, *continuing to update a round-tripped sketch produces
-//! bit-identical results to the original*.
+//! pairs. Because the item hash is deterministic ([`crate::hashing`]),
+//! every answer (estimates, bounds, maximum error, frequent items)
+//! matches the original at round-trip time, and the sampler state travels
+//! along. The slot layout does not: re-insertion changes where counters
+//! sit. Continued updating therefore stays identical to the original only
+//! while at most ℓ counters are live (ℓ is the sampling policy's sample
+//! size, 1024 for SMED/SMIN), because a purge then reads every counter.
+//! With more live counters the sampling policies pick sample slots by
+//! position, and the round-tripped sketch can purge differently. The
+//! slot-exact checkpoint format ([`crate::persist::checkpoint`]) is the
+//! encoding that preserves continuation.
 
 use bytes::{Buf, BufMut};
 
@@ -243,93 +250,6 @@ impl FreqSketch {
         Ok(FreqSketch {
             engine: SketchEngine::<u64>::deserialize_from_bytes(bytes)?,
         })
-    }
-}
-
-/// Serde integration (enable the `serde` cargo feature): sketches
-/// serialize as a structured record mirroring the binary wire format, so
-/// they can ride along in JSON/CBOR/etc. configuration or RPC payloads.
-/// For high-volume transport prefer [`FreqSketch::serialize_to_bytes`].
-#[cfg(feature = "serde")]
-mod serde_impl {
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    use super::{policy_from_wire, policy_params, policy_tag};
-    use crate::engine::SketchEngineBuilder;
-    use crate::rng::Xoshiro256StarStar;
-    use crate::sketch::FreqSketch;
-
-    #[derive(Serialize, Deserialize)]
-    struct WireSketch {
-        max_counters: u64,
-        policy_tag: u8,
-        policy_a: u64,
-        policy_b: u64,
-        seed: u64,
-        offset: u64,
-        stream_weight: u64,
-        num_updates: u64,
-        num_purges: u64,
-        rng_state: [u64; 4],
-        counters: Vec<(u64, u64)>,
-    }
-
-    impl Serialize for FreqSketch {
-        fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            let engine = &self.engine;
-            let (a, b) = policy_params(&engine.policy);
-            WireSketch {
-                max_counters: engine.max_counters as u64,
-                policy_tag: policy_tag(&engine.policy),
-                policy_a: a,
-                policy_b: b,
-                seed: engine.seed,
-                offset: engine.offset,
-                stream_weight: engine.stream_weight,
-                num_updates: engine.num_updates,
-                num_purges: engine.num_purges,
-                rng_state: engine.rng.state(),
-                counters: engine.table.iter().map(|(&k, v)| (k, v as u64)).collect(),
-            }
-            .serialize(serializer)
-        }
-    }
-
-    impl<'de> Deserialize<'de> for FreqSketch {
-        fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-            use serde::de::Error as _;
-            let wire = WireSketch::deserialize(deserializer)?;
-            let policy = policy_from_wire(wire.policy_tag, wire.policy_a, wire.policy_b)
-                .map_err(D::Error::custom)?;
-            let max_counters = usize::try_from(wire.max_counters).map_err(D::Error::custom)?;
-            let mut engine = SketchEngineBuilder::<u64>::new(max_counters)
-                .policy(policy)
-                .seed(wire.seed)
-                .build()
-                .map_err(D::Error::custom)?;
-            if wire.counters.len() > max_counters {
-                return Err(D::Error::custom("more counters than capacity"));
-            }
-            for (item, count) in wire.counters {
-                if count == 0 {
-                    return Err(D::Error::custom("counter value out of range"));
-                }
-                let count = i64::try_from(count)
-                    .map_err(|_| D::Error::custom("counter value out of range"))?;
-                engine
-                    .feed_for_decode(item, count)
-                    .map_err(D::Error::custom)?;
-            }
-            engine.offset = wire.offset;
-            engine.stream_weight = wire.stream_weight;
-            engine.num_updates = wire.num_updates;
-            engine.num_purges = wire.num_purges;
-            if wire.rng_state == [0; 4] {
-                return Err(D::Error::custom("invalid all-zero sampler state"));
-            }
-            engine.rng = Xoshiro256StarStar::from_state(wire.rng_state);
-            Ok(FreqSketch { engine })
-        }
     }
 }
 

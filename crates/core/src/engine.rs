@@ -56,8 +56,9 @@ pub trait SketchKey: Clone + Eq + Default {
 
     /// Views a slice of keys as raw `u64` words when the key type is
     /// `u64` (the paper's layout), `None` otherwise. Forwarded from
-    /// [`Hash64::keys_as_u64`]; the ingest kernel uses it to select the
-    /// wide (unrolled / SIMD) slot-scan without unsafe transmutes.
+    /// [`Hash64::keys_as_u64`]; the batch path uses it to aggregate
+    /// in-batch duplicates only for `u64` keys, where the copy clones no
+    /// heap-backed key.
     #[inline]
     fn key_slice_as_u64(keys: &[Self]) -> Option<&[u64]>
     where
@@ -98,7 +99,7 @@ const MAX_CHUNK: usize = 1 << 20;
 
 /// Upper bound on one aggregation pass: sized so the aggregation
 /// scratch (entries + hashes, ≤ 24 bytes each) stays cache-resident —
-/// the kernel re-reads every surviving entry right after the pass, and
+/// the table sweep re-reads every surviving entry right after the pass, and
 /// a DRAM round-trip for the scratch would cost more than the
 /// deduplication saves.
 const AGG_CHUNK: usize = 1 << 14;
@@ -106,7 +107,7 @@ const AGG_CHUNK: usize = 1 << 14;
 /// Aggregation pays for itself only when it removes at least this
 /// fraction of the pairs (one dedup-cache probe + scratch copy per pair
 /// vs one table probe saved per duplicate). Below it, the engine
-/// bypasses aggregation and streams pairs straight into the kernel.
+/// bypasses aggregation and streams pairs straight into the table sweep.
 const AGG_MIN_DUP_NUM: usize = 1;
 const AGG_MIN_DUP_DEN: usize = 8;
 
@@ -186,7 +187,7 @@ pub struct SketchEngine<K: SketchKey> {
     /// first-occurrence order.
     agg_scratch: Vec<(K, i64)>,
     /// Hashes of `agg_scratch` entries (parallel vector): aggregation
-    /// already hashes every key for its dedup cache, and the kernel
+    /// already hashes every key for its dedup cache, and the table sweep
     /// derives home slots from the same hash — keys are hashed once per
     /// ingested pair, not twice.
     hash_scratch: Vec<u64>,
@@ -195,7 +196,7 @@ pub struct SketchEngine<K: SketchKey> {
     dedup_cache: Vec<u32>,
     /// True while the measured in-chunk duplicate ratio is too low for
     /// aggregation to pay (the ingest then streams pairs straight into
-    /// the kernel); re-measured every [`AGG_REPROBE_EVERY`] sub-chunks.
+    /// the table sweep); re-measured every [`AGG_REPROBE_EVERY`] sub-chunks.
     agg_bypass: bool,
     /// Direct sub-chunks left before the next aggregation re-measure.
     agg_reprobe_in: u32,
@@ -229,7 +230,7 @@ pub struct SketchEngine<K: SketchKey> {
 pub struct IngestProfile {
     /// In-batch aggregation (dedup + weight combining) time.
     pub aggregate: std::time::Duration,
-    /// Multi-lane probe/commit (table kernel) time.
+    /// Table sweep (probe + commit) time.
     pub probe: std::time::Duration,
     /// Purge (DecrementCounters) time, including `c*` selection.
     pub purge: std::time::Duration,
@@ -548,10 +549,11 @@ impl<K: SketchKey> SketchEngine<K> {
         self.debug_audit();
     }
 
-    /// Ingests one headroom-bounded chunk through the aggregating kernel
-    /// (u64 keys, or any key type under pending lazy decay) or the legacy
-    /// zero-copy weighted pass (other key types — aggregation would clone
-    /// every unique heap-backed key for no probe-width win).
+    /// Ingests one headroom-bounded chunk: `u64` keys (and any key type
+    /// once lazy decay is active) aggregate in-batch duplicates before the
+    /// table sweep; other key types take the zero-copy weighted sweep
+    /// directly, because aggregation would clone every unique
+    /// heap-backed key.
     fn ingest_chunk(&mut self, chunk: &[(K, u64)]) {
         let wide = K::key_slice_as_u64(&[]).is_some();
         if !wide && self.lazy_den == 0 {
@@ -567,13 +569,9 @@ impl<K: SketchKey> SketchEngine<K> {
             let take = rest.len().min(AGG_CHUNK);
             // Low-duplication fast path: stream the pairs straight into
             // the prefetched sequential sweep, skipping the aggregation
-            // copy that would not pay for itself. (The sequential sweep
-            // also beats the lane kernel here — see the
-            // `weighted_paths_bench` micro-benchmark — because
-            // undeduplicated probes are short and match-heavy, so the
-            // lane machinery is pure overhead.) Both paths produce
-            // identical state; the dispatch is invisible to everything
-            // but the clock.
+            // copy that would not pay for itself. Both paths end in the
+            // same sweep and produce identical state; the dispatch is
+            // invisible to everything but the clock.
             // (Reaching this loop with `lazy_den == 0` implies a wide
             // key — the generic non-lazy case returned above — so the
             // plain arm below never clones heap-backed keys twice.)
@@ -629,7 +627,7 @@ impl<K: SketchKey> SketchEngine<K> {
             let track_max = self.lazy_den != 0;
             let max_value = self
                 .table
-                .upsert_batch_kernel_hashed(&agg, &hashes, track_max);
+                .adjust_or_insert_batch_hashed(&agg, &hashes, track_max);
             self.agg_scratch = agg;
             self.hash_scratch = hashes;
             self.profile_add(t, |p| &mut p.probe);
@@ -664,7 +662,7 @@ impl<K: SketchKey> SketchEngine<K> {
     /// offending pair on early stops.
     ///
     /// Duplicate runs whose combined scaled delta would overflow `i64`
-    /// are split into multiple entries at the overflow point (the kernel
+    /// are split into multiple entries at the overflow point (the sweep
     /// applies them in order, so intermediate counter values saturate the
     /// table's own overflow assertion exactly as sequential updates
     /// would).

@@ -29,12 +29,11 @@ pub trait Hash64 {
     /// *is* `u64`. The default implementation returns `None`; only the
     /// `u64` impl overrides it (returning the input slice unchanged).
     ///
-    /// This is the type-safe specialization hook behind the ingest
-    /// kernel's wide slot scan: when the counter table's key array is
-    /// literally `Vec<u64>`, probe steps can compare several contiguous
-    /// keys per iteration (unrolled or SIMD) without any `unsafe`
-    /// transmute — for every other key type the kernel takes the generic
-    /// one-key-per-step path.
+    /// This is the type-safe specialization hook behind the engine's
+    /// batch dispatch: `u64` batches aggregate in-batch duplicates before
+    /// the table sweep (the copy is a plain word), while every other key
+    /// type skips aggregation unless lazy decay is active, so heap-backed
+    /// keys are not cloned into scratch.
     #[inline]
     fn keys_as_u64(_keys: &[Self]) -> Option<&[u64]>
     where

@@ -360,8 +360,11 @@ impl<T: SketchKey> Extend<(T, u64)> for ItemsSketch<T> {
 /// Wire format for item sketches (versioned, little-endian): the header
 /// mirrors [`crate::codec`]'s `u64` format with magic `"SFQI"`, followed
 /// by `(item, count)` entries where items use their [`ItemCodec`]
-/// encoding. Round-tripped sketches behave bit-identically, including
-/// future purges (the sampler state travels along).
+/// encoding. Decoding re-feeds the counters, so every answer matches at
+/// round-trip time but the slot layout changes. Continued updates stay
+/// identical only while at most ℓ counters are live (the sampling
+/// policy's sample size, 1024 for SMED/SMIN); see [`crate::codec`] for
+/// why, and [`crate::persist::checkpoint`] for the slot-exact format.
 impl<T: SketchKey + ItemCodec> ItemsSketch<T> {
     /// Serializes the sketch into a fresh byte vector.
     pub fn serialize_to_bytes(&self) -> Vec<u8> {

@@ -86,9 +86,10 @@
 //!   items after inspecting the code can lengthen probe runs. The same
 //!   holds for the deployed DataSketches implementation.
 
-// `deny` rather than `forbid`: the one sanctioned exception is the
-// bounds-checked software-prefetch helper in `table`, which must call the
-// `_mm_prefetch` intrinsic on x86-64 (see `table::prefetch_read`).
+// `deny` rather than `forbid`: the sanctioned exceptions, each listed in
+// UNSAFE_LEDGER.md, are the bounds-checked software-prefetch helper in
+// `table` (the `_mm_prefetch` intrinsic on x86-64, see
+// `table::prefetch_read`) and the SSE4.2 CRC-32C path in `persist`.
 #![deny(unsafe_code)]
 // Inside the sanctioned `unsafe fn`s, every unsafe operation still needs
 // its own `unsafe {}` block — no blanket-unsafe function bodies.

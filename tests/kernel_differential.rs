@@ -1,37 +1,32 @@
-//! Differential proptests pinning the batched ingest kernel to the
+//! Differential proptests pinning the batched ingest path to the
 //! scalar reference path, state for state.
 //!
-//! The ingest kernel (in-batch aggregation, multi-lane probing, wide
-//! slot scans, and the low-duplication direct bypass) is an
-//! optimization, not a semantic change: for every update sequence it
-//! must leave the engine in **exactly** the state the one-update-at-a-
-//! time scalar path produces — same table layout slot by slot, same
-//! sampler state, same purge clock. That contract is what
-//! `state_fingerprint()` hashes, so each test here feeds the same
-//! stream both ways and compares fingerprints.
+//! Batch ingest (in-batch aggregation, the low-duplication bypass, and
+//! the prefetched table sweep both end in) is an optimization, not a
+//! semantic change: for every update sequence it must leave the engine
+//! in **exactly** the state the one-update-at-a-time scalar path
+//! produces — same table layout slot by slot, same sampler state, same
+//! purge clock. That contract is what `state_fingerprint()` hashes, so
+//! each test here feeds the same stream both ways and compares
+//! fingerprints.
 //!
-//! Batch *shapes* are adversarial by construction, because the kernel's
-//! branches are shape-dependent:
+//! Batch *shapes* are adversarial by construction, because the batch
+//! path's branches are shape-dependent:
 //! - **all-distinct** keys drive the aggregation pass to zero
 //!   duplicates and (once a pass clears the sizing floor) flip the
-//!   engine into the direct-bypass kernel;
+//!   engine onto the direct bypass;
 //! - **all-duplicate** batches collapse to a single aggregated upsert;
 //! - **clustered** keys (a tiny id range) pile many probes onto few
-//!   home slots, exercising lane-conflict fallback and long wide scans;
+//!   home slots, exercising long probe runs;
 //! - small `k` forces purges mid-batch; `grow_from_small` (the builder
 //!   default) forces table growth mid-batch.
-//!
-//! The AVX2 and portable wide-scan implementations are cross-checked by
-//! running this same suite twice in CI — once natively and once under
-//! `STREAMFREQ_FORCE_PORTABLE_SCAN=1` — so both codepaths must satisfy
-//! every pin here.
 
 use proptest::prelude::*;
 
 use streamfreq::apps::DecayedSketch;
 use streamfreq::{FreqSketch, PurgePolicy};
 
-/// Batch shapes the kernel specializes on. `Mixed` is the honest
+/// Batch shapes the batch path branches on. `Mixed` is the honest
 /// middle: Zipf-ish duplication around the aggregation break-even.
 #[derive(Clone, Copy, Debug)]
 enum Shape {
@@ -65,7 +60,7 @@ fn build_stream(shape: Shape, raw: &[(u64, u64)], salt: u64) -> Vec<(u64, u64)> 
         // One hot key: the whole batch aggregates to a single pair.
         Shape::AllDuplicate => raw.iter().map(|&(_, w)| (salt, w.clamp(1, 16))).collect(),
         // Keys from a range of 8 ids: probe chains stack on a handful
-        // of home slots and lanes collide constantly.
+        // of home slots.
         Shape::Clustered => raw
             .iter()
             .map(|&(id, w)| (salt.wrapping_add(id % 8), w.clamp(1, 16)))
@@ -80,7 +75,7 @@ fn build_stream(shape: Shape, raw: &[(u64, u64)], salt: u64) -> Vec<(u64, u64)> 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Kernel vs scalar across purge and grow: for every shape, split,
+    /// Batch vs scalar across purge and grow: for every shape, split,
     /// and policy, `update_batch` is fingerprint-identical to `update`.
     #[test]
     fn kernel_batch_matches_scalar(
@@ -115,7 +110,7 @@ proptest! {
     /// The low-duplication bypass: streams long enough to clear the
     /// dispatch floor (4096 applied updates per aggregation pass) with
     /// all-distinct keys flip the engine onto the direct weighted
-    /// kernel, and the state must still match the scalar path exactly.
+    /// sweep, and the state must still match the scalar path exactly.
     /// A trailing hot-key burst then re-measures duplication and flips
     /// dispatch back, so both transitions are covered in one run.
     #[test]
